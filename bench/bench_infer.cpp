@@ -17,8 +17,10 @@
 //   * Int8 path (DESIGN.md §7): quantized GEMM GOP/s vs the fp32 kernel on
 //     the same shapes, and int8 vs fp32 forward tokens/s on calibrated
 //     models — the headline the quantized path exists for (the target is
-//     >= 1.8x fp32 at 1 thread on the d256 paper model; CI's regression
-//     gate pins the measured ratio via scripts/check_bench_regression.py).
+//     >= 1.8x fp32 at 1 thread on the d256 paper model). CI's regression
+//     gate (scripts/check_bench_regression.py) pins int8 against the
+//     autograd forward, int8_vs_autograd_t1: the fp32 kernel is a moving
+//     anchor (it speeds up on its own), the autograd path is not.
 //
 // --smoke shrinks sizes/reps for CI; the report schema is identical.
 #include <algorithm>
@@ -26,6 +28,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -55,6 +58,23 @@ double best_seconds(int reps, F&& fn) {
     util::Stopwatch sw;
     fn();
     best = std::min(best, sw.elapsed_seconds());
+  }
+  return best;
+}
+
+// Best-of-R wall times of several arms, timed in alternation (arm 0, arm 1,
+// ..., arm 0, ...), so every arm samples the same stretch of host speed: a
+// ratio of two arms then survives a host whose speed drifts over the run,
+// which back-to-back best-of runs of each arm do not.
+std::vector<double> best_seconds_interleaved(
+    int reps, const std::vector<std::function<void()>>& arms) {
+  std::vector<double> best(arms.size(), 1e100);
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < arms.size(); ++i) {
+      util::Stopwatch sw;
+      arms[i]();
+      best[i] = std::min(best[i], sw.elapsed_seconds());
+    }
   }
   return best;
 }
@@ -107,6 +127,9 @@ int main(int argc, char** argv) try {
   const bool smoke = has_flag(argc, argv, "--smoke");
   const char* json_path = flag_value(argc, argv, "--json", nullptr);
   const int reps = smoke ? 3 : 7;
+  // The gated forward ratios take more, interleaved rounds (each smoke
+  // forward is a few ms): best-of-3 let the int8 ratio flap by ~30%.
+  const int fwd_reps = smoke ? 15 : reps;
   const int hw = kern::default_threads();
   const int multi = std::min(4, std::max(2, hw));
 
@@ -340,10 +363,11 @@ int main(int argc, char** argv) try {
       const double toks = static_cast<double>(mc.batch) * total;
 
       kern::set_threads(1);
-      const double t_auto =
-          best_seconds(reps, [&] { (void)model.forward(tokens, mask); });
-      const double t_k1 =
-          best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
+      const std::vector<double> best = best_seconds_interleaved(
+          fwd_reps, {[&] { (void)model.forward(tokens, mask); },
+                     [&] { (void)model.infer(tokens, mask); }});
+      const double t_auto = best[0];
+      const double t_k1 = best[1];
       kern::set_threads(multi);
       const double t_kn =
           best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
@@ -389,7 +413,7 @@ int main(int argc, char** argv) try {
     }
     util::Table t({"model", "batch", "fp32@1 tok/s", "int8@1 tok/s",
                    std::string("int8@") + std::to_string(multi) + " tok/s",
-                   "int8/fp32@1"});
+                   "int8/fp32@1", "int8/autograd@1"});
     json += ",\"forward_int8\":[";
     for (std::size_t ci = 0; ci < cases.size(); ++ci) {
       const ModelCase& mc = cases[ci];
@@ -407,11 +431,14 @@ int main(int argc, char** argv) try {
       const double toks = static_cast<double>(mc.batch) * total;
 
       kern::set_threads(1);
-      const double t_f32 =
-          best_seconds(reps, [&] { (void)model.infer(tokens, mask); });
-      const double t_i8 = best_seconds(reps, [&] {
-        (void)model.infer(tokens, mask, nn::Precision::kInt8);
-      });
+      const std::vector<double> best = best_seconds_interleaved(
+          fwd_reps,
+          {[&] { (void)model.forward(tokens, mask); },
+           [&] { (void)model.infer(tokens, mask); },
+           [&] { (void)model.infer(tokens, mask, nn::Precision::kInt8); }});
+      const double t_auto = best[0];
+      const double t_f32 = best[1];
+      const double t_i8 = best[2];
       kern::set_threads(multi);
       const double t_i8n = best_seconds(reps, [&] {
         (void)model.infer(tokens, mask, nn::Precision::kInt8);
@@ -421,13 +448,15 @@ int main(int argc, char** argv) try {
                  util::Table::num(toks / t_f32, 0),
                  util::Table::num(toks / t_i8, 0),
                  util::Table::num(toks / t_i8n, 0),
-                 util::Table::num(t_f32 / t_i8, 2)});
+                 util::Table::num(t_f32 / t_i8, 2),
+                 util::Table::num(t_auto / t_i8, 2)});
       json += std::string(ci == 0 ? "" : ",") + "{\"config\":\"" + mc.name +
               "\",\"batch\":" + std::to_string(mc.batch) +
               ",\"fp32_t1_tokens_per_s\":" + json_num(toks / t_f32) +
               ",\"int8_t1_tokens_per_s\":" + json_num(toks / t_i8) +
               ",\"int8_multi_tokens_per_s\":" + json_num(toks / t_i8n) +
               ",\"int8_vs_fp32_t1\":" + json_num(t_f32 / t_i8) +
+              ",\"int8_vs_autograd_t1\":" + json_num(t_auto / t_i8) +
               ",\"multi_threads\":" + std::to_string(multi) + "}";
     }
     json += "]";

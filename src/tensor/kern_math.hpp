@@ -2,17 +2,32 @@
 // units (fp32 kernels in kernels.cpp, int8 epilogue in kernels_int8.cpp).
 //
 // Everything here is pure float arithmetic + integer bit manipulation: no
-// libm calls, no lookup tables, no data-dependent branches. That makes the
-// functions (a) autovectorisable inside whatever ISA context inlines them
-// and (b) bit-deterministic for a FIXED ISA context — which is why the int8
-// dequant epilogue, which pins its output bytes in tests/golden_int8.inc,
-// is compiled exactly once for the baseline ISA and never under an AVX2
-// target attribute (FMA contraction would change the last bits).
+// libm calls, no lookup tables. The scalar functions do NOT autovectorise:
+// the float clamp in fast_exp is control flow to GCC under the default
+// -ftrapping-math, so a loop calling them stays scalar. The vector path is
+// the explicit AVX2 twins fast_exp_v8 / gelu_v8 below, which replicate the
+// scalar op sequence lane for lane.
+//
+// Bit-determinism: the scalar functions are bit-deterministic for a FIXED
+// ISA context, and the twins equal the baseline (FMA-free) scalar build
+// bit for bit — but only where no FMA is in reach. GCC implements
+// _mm256_mul_ps/_mm256_add_ps as plain vector arithmetic and, under its
+// default -ffp-contract=fast, fuses a mul feeding an add into an FMA when
+// the enclosing function targets "fma". So both the twins and any scalar
+// tail next to them must be compiled in a target("avx2") context WITHOUT
+// fma, in a function the compiler cannot inline into an avx2+fma caller
+// (noinline). The int8 epilogue (whose output bytes tests/golden_int8.inc
+// pins) and the fp32 GELU/softmax passes follow that rule.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define EASZ_KERN_X86_AVX2 1
+#include <immintrin.h>
+#endif
 
 namespace easz::tensor::kern::detail {
 
@@ -51,5 +66,59 @@ __attribute__((always_inline)) inline float gelu_approx(float x) {
   const float t = 1.0F - 2.0F / (e2u + 1.0F);
   return 0.5F * x * (1.0F + t);
 }
+
+#ifdef EASZ_KERN_X86_AVX2
+
+// fast_exp transcribed op-for-op onto 8 lanes: separate mul/add/sub,
+// min/max for the clamp, integer ops for 2^n. Every one is IEEE-exact per
+// lane, so each lane reproduces the scalar rounding (see the file comment
+// for the one way to break that).
+__attribute__((target("avx2"), always_inline)) inline __m256 fast_exp_v8(
+    __m256 x) {
+  const __m256 log2e = _mm256_set1_ps(1.44269504088896341F);
+  const __m256 ln2_hi = _mm256_set1_ps(0.693359375F);
+  const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4F);
+  const __m256 round_c = _mm256_set1_ps(12582912.0F);  // 1.5 * 2^23
+  x = _mm256_max_ps(_mm256_set1_ps(-87.0F),
+                    _mm256_min_ps(_mm256_set1_ps(88.0F), x));
+  const __m256 z = _mm256_add_ps(_mm256_mul_ps(x, log2e), round_c);
+  const __m256 n = _mm256_sub_ps(z, round_c);
+  const __m256 r = _mm256_sub_ps(_mm256_sub_ps(x, _mm256_mul_ps(n, ln2_hi)),
+                                 _mm256_mul_ps(n, ln2_lo));
+  __m256 p = _mm256_set1_ps(1.9875691500e-4F);
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.3981999507e-3F));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(8.3334519073e-3F));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(4.1665795894e-2F));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.6666665459e-1F));
+  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(5.0000001201e-1F));
+  // er = ((p*r)*r + r) + 1
+  const __m256 er = _mm256_add_ps(
+      _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, r), r), r),
+      _mm256_set1_ps(1.0F));
+  const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(z),
+                                      _mm256_castps_si256(round_c));
+  const __m256 scale = _mm256_castsi256_ps(
+      _mm256_slli_epi32(_mm256_add_epi32(ni, _mm256_set1_epi32(127)), 23));
+  return _mm256_mul_ps(er, scale);
+}
+
+// gelu_approx transcribed the same way: inner = kC * (x + ((kA*x)*x)*x),
+// t = 1 - 2 / (e^{2*inner} + 1), y = (0.5*x) * (1 + t).
+__attribute__((target("avx2"), always_inline)) inline __m256 gelu_v8(
+    __m256 x) {
+  const __m256 kc = _mm256_set1_ps(0.7978845608F);
+  const __m256 ka = _mm256_set1_ps(0.044715F);
+  const __m256 one = _mm256_set1_ps(1.0F);
+  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(ka, x), x), x);
+  const __m256 inner = _mm256_mul_ps(kc, _mm256_add_ps(x, x3));
+  const __m256 e2u =
+      fast_exp_v8(_mm256_mul_ps(_mm256_set1_ps(2.0F), inner));
+  const __m256 t = _mm256_sub_ps(
+      one, _mm256_div_ps(_mm256_set1_ps(2.0F), _mm256_add_ps(e2u, one)));
+  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5F), x),
+                       _mm256_add_ps(one, t));
+}
+
+#endif  // EASZ_KERN_X86_AVX2
 
 }  // namespace easz::tensor::kern::detail

@@ -140,7 +140,15 @@ class Pool {
   }
 
  private:
-  Pool() : lanes_(default_threads()) { spawn_workers(); }
+  // The metrics (and the obs registry behind them) are created before any
+  // worker exists, so they finish construction first and are destroyed
+  // after ~Pool has joined every worker. Created lazily by the first
+  // worker instead, they died first and ~Pool's wakeups wrote to a freed
+  // gauge at exit.
+  Pool() : lanes_(default_threads()) {
+    pool_metrics();
+    spawn_workers();
+  }
 
   void spawn_workers() {
     stop_.store(false, std::memory_order_relaxed);
@@ -337,10 +345,12 @@ Workspace& Workspace::for_this_thread() {
 
 // ---- transcendental approximations ----------------------------------------
 //
-// fast_exp / gelu_approx live in kern_math.hpp (shared with the int8
-// epilogue in kernels_int8.cpp); pure arithmetic + integer bit ops, so the
-// autovectoriser turns the softmax and GELU loops into SIMD where scalar
-// expf/tanhf calls never would.
+// fast_exp / gelu_approx and their 8-lane AVX2 twins fast_exp_v8 / gelu_v8
+// live in kern_math.hpp (shared with the int8 epilogue in
+// kernels_int8.cpp). The scalar functions do not autovectorise, so the
+// GELU and softmax exp passes below call the twins explicitly, from
+// target("avx2") functions without FMA so the twins stay bit-identical to
+// the baseline scalar build (kern_math.hpp says why).
 
 namespace {
 
@@ -366,18 +376,57 @@ constexpr int kNc = 24;
 // more than it saves). Matches the OpenMP gate the autograd matmul used.
 constexpr std::size_t kParallelMinFlops = 65536;
 
+// In-place GELU over `rows` rows of `n` floats, row stride ldc. Runs once
+// per stored row strip, while the strip is still in L1.
+using GeluRowsFn = void (*)(float* c, std::size_t ldc, int rows, int n);
+
+void gelu_rows_base(float* c, std::size_t ldc, int rows, int n) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = c + static_cast<std::size_t>(r) * ldc;
+    for (int j = 0; j < n; ++j) row[j] = gelu_approx(row[j]);
+  }
+}
+
+#ifdef EASZ_KERN_X86_AVX2
+// avx2 WITHOUT fma, and never inlined into the avx2+fma GEMM: the twin and
+// the scalar tail then round exactly like gelu_rows_base.
+__attribute__((target("avx2"), noinline)) void gelu_rows_avx2(
+    float* c, std::size_t ldc, int rows, int n) {
+  for (int r = 0; r < rows; ++r) {
+    float* row = c + static_cast<std::size_t>(r) * ldc;
+    int j = 0;
+    for (; j + 8 <= n; j += 8) {
+      _mm256_storeu_ps(row + j, detail::gelu_v8(_mm256_loadu_ps(row + j)));
+    }
+    for (; j < n; ++j) row[j] = gelu_approx(row[j]);
+  }
+}
+#endif
+
+// Tile store epilogue: scale, then bias. The bias test is hoisted out of
+// the column loop, so both loops are branch-free and vectorise.
+__attribute__((always_inline)) inline void store_row(float* crow,
+                                                     const float* acc,
+                                                     int cols,
+                                                     const float* bias,
+                                                     float scale) {
+  if (bias != nullptr) {
+    for (int cc = 0; cc < cols; ++cc) crow[cc] = acc[cc] * scale + bias[cc];
+  } else {
+    for (int cc = 0; cc < cols; ++cc) crow[cc] = acc[cc] * scale;
+  }
+}
+
 // The body is ISA-neutral and always_inline: each dispatch wrapper below
 // pulls it in and compiles it for its own target, which is what makes the
-// cc loops vectorise with AVX2+FMA where available.
+// cc loops vectorise with AVX2+FMA where available. `gelu_rows` (null: no
+// GELU) runs over each finished strip of kMr rows.
 __attribute__((always_inline)) inline void gemm_rows_body(
     const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
-    std::size_t ldc, int m, int k, int n, const float* bias, bool gelu,
-    float scale) {
-  const auto store = [&](float* dst, float acc, int j) {
-    float v = acc * scale;
-    if (bias != nullptr) v += bias[j];
-    if (gelu) v = gelu_approx(v);
-    *dst = v;
+    std::size_t ldc, int m, int k, int n, const float* bias,
+    GeluRowsFn gelu_rows, float scale) {
+  const auto bias_at = [bias](int j) {
+    return bias == nullptr ? nullptr : bias + j;
   };
   int i = 0;
   for (; i + kMr <= m; i += kMr) {
@@ -392,8 +441,8 @@ __attribute__((always_inline)) inline void gemm_rows_body(
         }
       }
       for (int r = 0; r < kMr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < kNc; ++cc) store(crow + cc, acc[r][cc], j + cc);
+        store_row(c + static_cast<std::size_t>(i + r) * ldc + j, acc[r], kNc,
+                  bias_at(j), scale);
       }
     }
     if (j < n) {  // column remainder, nr < kNc (runtime bound vectorises)
@@ -407,9 +456,12 @@ __attribute__((always_inline)) inline void gemm_rows_body(
         }
       }
       for (int r = 0; r < kMr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < nr; ++cc) store(crow + cc, acc[r][cc], j + cc);
+        store_row(c + static_cast<std::size_t>(i + r) * ldc + j, acc[r], nr,
+                  bias_at(j), scale);
       }
+    }
+    if (gelu_rows != nullptr) {
+      gelu_rows(c + static_cast<std::size_t>(i) * ldc, ldc, kMr, n);
     }
   }
   if (i < m) {  // row remainder, mr < kMr
@@ -425,33 +477,37 @@ __attribute__((always_inline)) inline void gemm_rows_body(
         }
       }
       for (int r = 0; r < mr; ++r) {
-        float* crow = c + static_cast<std::size_t>(i + r) * ldc + j;
-        for (int cc = 0; cc < nr; ++cc) store(crow + cc, acc[r][cc], j + cc);
+        store_row(c + static_cast<std::size_t>(i + r) * ldc + j, acc[r], nr,
+                  bias_at(j), scale);
       }
+    }
+    if (gelu_rows != nullptr) {
+      gelu_rows(c + static_cast<std::size_t>(i) * ldc, ldc, mr, n);
     }
   }
 }
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EASZ_KERN_X86_DISPATCH 1
+#ifdef EASZ_KERN_X86_AVX2
 __attribute__((target("avx2,fma"))) void gemm_rows_avx2(
     const float* a, std::size_t lda, const float* b, std::size_t ldb, float* c,
     std::size_t ldc, int m, int k, int n, const float* bias, bool gelu,
     float scale) {
-  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias, gelu, scale);
+  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias,
+                 gelu ? gelu_rows_avx2 : nullptr, scale);
 }
 #endif
 
 void gemm_rows_base(const float* a, std::size_t lda, const float* b,
                     std::size_t ldb, float* c, std::size_t ldc, int m, int k,
                     int n, const float* bias, bool gelu, float scale) {
-  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias, gelu, scale);
+  gemm_rows_body(a, lda, b, ldb, c, ldc, m, k, n, bias,
+                 gelu ? gelu_rows_base : nullptr, scale);
 }
 
 void gemm_rows(const float* a, std::size_t lda, const float* b,
                std::size_t ldb, float* c, std::size_t ldc, int m, int k, int n,
                const GemmOpts& o) {
-#ifdef EASZ_KERN_X86_DISPATCH
+#ifdef EASZ_KERN_X86_AVX2
   static const bool use_avx2 =
       __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
   if (use_avx2) {
@@ -545,9 +601,7 @@ __attribute__((always_inline)) inline float row_max(const float* row, int d) {
 // Same shape as the autograd softmax: stable max-shift, exponentiate,
 // sequentially-ordered denominator sum (keeps the summation order), scale.
 // Only the exp is approximated and the max reduced in lanes.
-__attribute__((always_inline)) inline void softmax_span_body(float* x,
-                                                             std::size_t rows,
-                                                             int d) {
+void softmax_span_base(float* x, std::size_t rows, int d) {
   for (std::size_t r = 0; r < rows; ++r) {
     float* row = x + r * static_cast<std::size_t>(d);
     const float mx = row_max(row, d);
@@ -559,24 +613,39 @@ __attribute__((always_inline)) inline void softmax_span_body(float* x,
   }
 }
 
-#ifdef EASZ_KERN_X86_DISPATCH
-__attribute__((target("avx2,fma"))) void softmax_span_avx2(float* x,
-                                                           std::size_t rows,
-                                                           int d) {
-  softmax_span_body(x, rows, d);
+#ifdef EASZ_KERN_X86_AVX2
+// softmax_span_base with the exp taken 8 lanes at a time by fast_exp_v8.
+// avx2 without fma, so every step rounds like the baseline build.
+__attribute__((target("avx2"))) void softmax_span_avx2(float* x,
+                                                       std::size_t rows,
+                                                       int d) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* row = x + r * static_cast<std::size_t>(d);
+    const float mx = row_max(row, d);
+    const __m256 vmx = _mm256_set1_ps(mx);
+    int j = 0;
+    for (; j + 8 <= d; j += 8) {
+      _mm256_storeu_ps(row + j, detail::fast_exp_v8(_mm256_sub_ps(
+                                    _mm256_loadu_ps(row + j), vmx)));
+    }
+    for (; j < d; ++j) row[j] = fast_exp(row[j] - mx);
+    float denom = 0.0F;
+    for (j = 0; j < d; ++j) denom += row[j];
+    const float inv = 1.0F / denom;
+    for (j = 0; j < d; ++j) row[j] *= inv;
+  }
 }
 #endif
 
 void softmax_span(float* x, std::size_t rows, int d) {
-#ifdef EASZ_KERN_X86_DISPATCH
-  static const bool use_avx2 =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+#ifdef EASZ_KERN_X86_AVX2
+  static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
     softmax_span_avx2(x, rows, d);
     return;
   }
 #endif
-  softmax_span_body(x, rows, d);
+  softmax_span_base(x, rows, d);
 }
 
 void layernorm_span(const float* x, const float* gamma, const float* beta,

@@ -19,11 +19,13 @@
 // Equivalence contract (asserted by tests/kernels_test.cpp): every kernel
 // accumulates each output element over k in ascending order with one fp32
 // accumulator — the same summation order as the autograd ops. The only
-// deliberate numeric deviations are fused multiply-adds (where the CPU
-// supports them) and a ~2-ulp polynomial exp inside softmax/GELU; both sit
-// orders of magnitude inside the tested 1e-5 bound. On x86-64 the hot
-// loops are compiled twice (AVX2+FMA and baseline) and dispatched once at
-// runtime, so the binary stays portable.
+// deliberate numeric deviations are fused multiply-adds in the GEMM
+// accumulation (where the CPU supports them) and a ~2-ulp polynomial exp
+// inside softmax/GELU; both sit orders of magnitude inside the tested 1e-5
+// bound. The GELU and softmax passes never use FMA, so they are
+// bit-identical on every ISA path. On x86-64 the hot loops are compiled
+// twice (AVX2 and baseline) and dispatched once at runtime, so the binary
+// stays portable.
 //
 // Threading rules:
 //  * set_threads() resizes the pool; call it only while no parallel_for is
@@ -147,9 +149,10 @@ void layernorm_rows(const float* x, const float* gamma, const float* beta,
 /// out[i] = a[i] + b[i]; out may alias either input (residual adds).
 void add_rows(const float* a, const float* b, float* out, std::size_t n);
 
-/// Reference scalar of the tanh-approx GELU the fused epilogue applies.
-/// Same formula as tensor::gelu's forward, with tanh evaluated through the
-/// layer's polynomial exp (agreement ~1e-7, inside the 1e-5 contract).
+/// Reference scalar of the tanh-approx GELU the fused epilogue applies; the
+/// epilogue reproduces it bit for bit on every ISA path. Same formula as
+/// tensor::gelu's forward, with tanh evaluated through the layer's
+/// polynomial exp (agreement ~1e-7, inside the 1e-5 contract).
 float gelu_scalar(float x);
 
 // ---- int8 GEMM (kernels_int8.cpp) -----------------------------------------

@@ -20,7 +20,8 @@
 //     autovectorised AVX2 C code (GCC would contract mul+add chains under
 //     a target attribute and shift the last bits). Every one of those
 //     intrinsics is IEEE-defined per lane, so the two epilogues agree
-//     bit-for-bit — including the polynomial fast_exp inside GELU — and
+//     bit-for-bit — including the polynomial fast_exp inside GELU, whose
+//     8-lane twin gelu_v8 (kern_math.hpp) the fp32 GEMM shares — and
 //     the fp32 outputs are identical on every x86-64 machine. The golden
 //     bytes in tests/golden_int8.inc pin exactly this.
 //
@@ -34,11 +35,6 @@
 
 #include "tensor/kern_math.hpp"
 #include "tensor/kernels.hpp"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define EASZ_KERN_INT8_AVX2 1
-#include <immintrin.h>
-#endif
 
 namespace easz::tensor::kern {
 
@@ -69,56 +65,7 @@ void dequant_row(const std::int32_t* acc, float* c, int j0, int n,
   }
 }
 
-#ifdef EASZ_KERN_INT8_AVX2
-
-// fast_exp (kern_math.hpp) transcribed op-for-op onto 8 lanes. Separate
-// _mm256_mul_ps / _mm256_add_ps — the compiler never fuses explicit
-// intrinsics into FMA, so each lane reproduces the scalar rounding.
-__attribute__((target("avx2"), always_inline)) inline __m256 fast_exp_v8(
-    __m256 x) {
-  const __m256 log2e = _mm256_set1_ps(1.44269504088896341F);
-  const __m256 ln2_hi = _mm256_set1_ps(0.693359375F);
-  const __m256 ln2_lo = _mm256_set1_ps(-2.12194440e-4F);
-  const __m256 round_c = _mm256_set1_ps(12582912.0F);  // 1.5 * 2^23
-  x = _mm256_max_ps(_mm256_set1_ps(-87.0F),
-                    _mm256_min_ps(_mm256_set1_ps(88.0F), x));
-  const __m256 z = _mm256_add_ps(_mm256_mul_ps(x, log2e), round_c);
-  const __m256 n = _mm256_sub_ps(z, round_c);
-  const __m256 r = _mm256_sub_ps(_mm256_sub_ps(x, _mm256_mul_ps(n, ln2_hi)),
-                                 _mm256_mul_ps(n, ln2_lo));
-  __m256 p = _mm256_set1_ps(1.9875691500e-4F);
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.3981999507e-3F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(8.3334519073e-3F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(4.1665795894e-2F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(1.6666665459e-1F));
-  p = _mm256_add_ps(_mm256_mul_ps(p, r), _mm256_set1_ps(5.0000001201e-1F));
-  // er = ((p*r)*r + r) + 1
-  const __m256 er = _mm256_add_ps(
-      _mm256_add_ps(_mm256_mul_ps(_mm256_mul_ps(p, r), r), r),
-      _mm256_set1_ps(1.0F));
-  const __m256i ni = _mm256_sub_epi32(_mm256_castps_si256(z),
-                                      _mm256_castps_si256(round_c));
-  const __m256 scale = _mm256_castsi256_ps(
-      _mm256_slli_epi32(_mm256_add_epi32(ni, _mm256_set1_epi32(127)), 23));
-  return _mm256_mul_ps(er, scale);
-}
-
-// gelu_approx transcribed the same way: inner = kC * (x + ((kA*x)*x)*x),
-// t = 1 - 2 / (e^{2*inner} + 1), y = (0.5*x) * (1 + t).
-__attribute__((target("avx2"), always_inline)) inline __m256 gelu_v8(
-    __m256 x) {
-  const __m256 kc = _mm256_set1_ps(0.7978845608F);
-  const __m256 ka = _mm256_set1_ps(0.044715F);
-  const __m256 one = _mm256_set1_ps(1.0F);
-  const __m256 x3 = _mm256_mul_ps(_mm256_mul_ps(_mm256_mul_ps(ka, x), x), x);
-  const __m256 inner = _mm256_mul_ps(kc, _mm256_add_ps(x, x3));
-  const __m256 e2u =
-      fast_exp_v8(_mm256_mul_ps(_mm256_set1_ps(2.0F), inner));
-  const __m256 t = _mm256_sub_ps(
-      one, _mm256_div_ps(_mm256_set1_ps(2.0F), _mm256_add_ps(e2u, one)));
-  return _mm256_mul_ps(_mm256_mul_ps(_mm256_set1_ps(0.5F), x),
-                       _mm256_add_ps(one, t));
-}
+#ifdef EASZ_KERN_X86_AVX2
 
 // 8 columns of the epilogue. acc already holds the raw i32 dot products.
 __attribute__((target("avx2"), always_inline)) inline void dequant8(
@@ -132,11 +79,11 @@ __attribute__((target("avx2"), always_inline)) inline void dequant8(
   __m256 v = _mm256_mul_ps(_mm256_cvtepi32_ps(corrected),
                            _mm256_loadu_ps(dq_scale));
   if (bias != nullptr) v = _mm256_add_ps(v, _mm256_loadu_ps(bias));
-  if (gelu) v = gelu_v8(v);
+  if (gelu) v = detail::gelu_v8(v);
   _mm256_storeu_ps(c, v);
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_X86_AVX2
 
 // Packs `rows` rows of A into k-pair u32 words:
 // word[r][p] = a[r][2p] | a[r][2p+1] << 16. Odd k pads the final a1 with
@@ -193,7 +140,7 @@ void gemm_rows_u8s8_base(const std::uint32_t* a_pairs, std::size_t apld,
 
 // ---- AVX2 integer kernel --------------------------------------------------
 
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_X86_AVX2
 
 // 4 rows x 16 columns of i32 accumulators (8 ymm registers) live across the
 // whole k loop. Per k-pair: two 16-byte B loads cover 16 columns x 2 k
@@ -260,13 +207,13 @@ __attribute__((target("avx2"))) void gemm_rows_u8s8_avx2(
   }
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_X86_AVX2
 
 void gemm_rows_u8s8(const std::uint32_t* a_pairs, std::size_t apld, int kp,
                     const PackedBInt8& b, float* c, std::size_t ldc, int rows,
                     int n, const float* dq_scale, const std::int32_t* col_sum,
                     const float* bias, bool gelu) {
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_X86_AVX2
   static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
     gemm_rows_u8s8_avx2(a_pairs, apld, kp, b, c, ldc, rows, n, dq_scale,
@@ -330,7 +277,7 @@ void quantize_span_base(const float* x, std::uint8_t* q, std::size_t count,
   }
 }
 
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_X86_AVX2
 
 // 32 values per iteration: cvtps_epi32 rounds nearest-even exactly like
 // lrintf, and the packs/packus pair saturates exactly like the scalar
@@ -365,14 +312,14 @@ __attribute__((target("avx2"))) void quantize_span_avx2(const float* x,
   if (i < count) quantize_span_base(x + i, q + i, count - i, inv);
 }
 
-#endif  // EASZ_KERN_INT8_AVX2
+#endif  // EASZ_KERN_X86_AVX2
 
 }  // namespace
 
 void quantize_rows_u8(const float* x, std::uint8_t* q, std::size_t count,
                       float act_scale) {
   const float inv = 1.0F / act_scale;
-#ifdef EASZ_KERN_INT8_AVX2
+#ifdef EASZ_KERN_X86_AVX2
   static const bool use_avx2 = __builtin_cpu_supports("avx2");
   if (use_avx2) {
     quantize_span_avx2(x, q, count, inv);

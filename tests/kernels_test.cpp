@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <future>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -133,27 +136,74 @@ TEST(KernGemm, StridedViewsMatchPacked) {
   }
 }
 
+TEST(KernGemm, FusedBiasGeluBitIdenticalToScalarGelu) {
+  // k = 1 and B = 1 make every output a plain gelu_scalar(0 + x + bias), so
+  // the fused epilogue must reproduce the out-of-line scalar GELU bit for
+  // bit on every ISA path: the 8-lane twin on full vectors, the scalar tail
+  // on n % 8, both row strips (6 rows = one 4-row tile + 2 remainder
+  // rows). Inputs reach the exp clamp (|x| >= 44) and include +-0.
+  util::Pcg32 rng(31);
+  const int m = 6;
+  for (const int n : {1, 7, 8, 9, 24, 33, 128}) {
+    std::vector<float> a(m);
+    for (auto& v : a) v = rng.next_gaussian() * 3.0F;
+    a[0] = 44.0F;
+    a[1] = -60.0F;
+    a[2] = -0.0F;
+    std::vector<float> bias(static_cast<std::size_t>(n));
+    for (auto& v : bias) v = rng.next_gaussian() * 2.0F;
+    bias[0] = -0.0F;
+    if (n > 1) bias[1] = 0.0F;
+    if (n > 2) bias[2] = 90.0F;
+    if (n > 3) bias[3] = -45.0F;
+    const std::vector<float> ones(static_cast<std::size_t>(n), 1.0F);
+    std::vector<float> got(static_cast<std::size_t>(m) * n);
+    kern::GemmOpts opts;
+    opts.bias = bias.data();
+    opts.gelu = true;
+    kern::gemm(a.data(), 1, ones.data(), n, got.data(), n, m, 1, n, opts);
+    for (int i = 0; i < m; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const float want = kern::gelu_scalar(0.0F + a[i] + bias[j]);
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i * n + j]),
+                  std::bit_cast<std::uint32_t>(want))
+            << "n=" << n << " row " << i << " col " << j << ": "
+            << got[i * n + j] << " vs " << want;
+      }
+    }
+  }
+}
+
 TEST(KernGemm, ParallelMatchesSerialExactly) {
   // Panel splitting only changes which lane computes a row, not the
-  // arithmetic, so results are identical whatever the pool width.
+  // arithmetic, so results are bit-identical whatever the pool width —
+  // with and without the bias+GELU epilogue.
   util::Pcg32 rng(5);
   const int m = 96, k = 64, n = 80;
   Tensor a = Tensor::randn({m, k}, rng);
   Tensor b = Tensor::randn({k, n}, rng);
-  std::vector<float> serial(static_cast<std::size_t>(m) * n);
-  std::vector<float> parallel(serial.size());
-  {
-    ThreadGuard tg(1);
-    kern::gemm(a.data().data(), k, b.data().data(), n, serial.data(), n, m, k,
-               n);
-  }
-  {
-    ThreadGuard tg(4);
-    kern::gemm(a.data().data(), k, b.data().data(), n, parallel.data(), n, m,
-               k, n);
-  }
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_FLOAT_EQ(serial[i], parallel[i]) << "element " << i;
+  Tensor bias = Tensor::randn({n}, rng);
+  for (const bool gelu : {false, true}) {
+    kern::GemmOpts opts;
+    opts.bias = gelu ? bias.data().data() : nullptr;
+    opts.gelu = gelu;
+    std::vector<float> serial(static_cast<std::size_t>(m) * n);
+    std::vector<float> parallel(serial.size());
+    {
+      ThreadGuard tg(1);
+      kern::gemm(a.data().data(), k, b.data().data(), n, serial.data(), n, m,
+                 k, n, opts);
+    }
+    {
+      ThreadGuard tg(4);
+      kern::gemm(a.data().data(), k, b.data().data(), n, parallel.data(), n,
+                 m, k, n, opts);
+    }
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(serial[i]),
+                std::bit_cast<std::uint32_t>(parallel[i]))
+          << "gelu=" << gelu << " element " << i;
+    }
   }
 }
 
@@ -166,6 +216,25 @@ TEST(KernRows, SoftmaxMatchesAutograd) {
   std::vector<float> got(x.data());
   kern::softmax_rows(got.data(), 7, 33);
   expect_close(got.data(), want.data().data(), got.size());
+}
+
+TEST(KernRows, SoftmaxMatchesAutogradAcrossRowWidths) {
+  // Widths around the 8-lane exp (full vectors, scalar tail, both), and a
+  // last row spread over >100 so the shifted exp reaches its -87 clamp.
+  util::Pcg32 rng(16);
+  for (const int d : {1, 7, 8, 9, 16, 17, 64}) {
+    const int rows = 5;
+    Tensor x = Tensor::randn({rows, d}, rng, 3.0F);
+    float* spread = x.data().data() + static_cast<std::size_t>(rows - 1) * d;
+    for (int j = 0; j < d; ++j) {
+      spread[j] = d == 1 ? 60.0F : -60.0F + 120.0F * j / (d - 1);
+    }
+    const Tensor want = tensor::softmax(x);
+    std::vector<float> got(x.data());
+    kern::softmax_rows(got.data(), rows, d);
+    SCOPED_TRACE("d=" + std::to_string(d));
+    expect_close(got.data(), want.data().data(), got.size());
+  }
 }
 
 TEST(KernRows, LayernormMatchesAutograd) {
